@@ -304,14 +304,15 @@ func BenchmarkNonPowerOfTwo(b *testing.B) {
 }
 
 // BenchmarkCompositeAllocs measures the allocation behaviour of one full
-// compositing phase (all ranks, all stages) per method at P=8, 384x384 —
-// the workload of the issue's zero-copy data-path criterion. The world is
-// built once and every iteration runs a complete composite over it, the
-// way an interactive renderer composites successive frames on a standing
-// communicator, so allocs/op isolates the data path: per-rank
-// pack/encode/decode/composite work, the mandatory message copies, and
-// the per-iteration subimage clones that restore the pre-composite state.
-// Run with -benchmem.
+// compositing round — all ranks, all stages, then the gather of the
+// final image at rank 0 — per method at P=8, 384x384. The world is built
+// once and every iteration runs a complete round over it, the way an
+// interactive renderer composites successive frames on a standing
+// communicator. In steady state the working images keep their storage,
+// outgoing payloads are built in pooled scratch and message copies reuse
+// buffers the receivers recycled, so allocs/op is essentially the final
+// image plus per-rank bookkeeping (TestCompositeRoundAllocations pins
+// the bsbrc case). Run with -benchmem.
 func BenchmarkCompositeAllocs(b *testing.B) {
 	for _, m := range []string{"bs", "bsbr", "bslc", "bsbrc"} {
 		b.Run(m, func(b *testing.B) {
@@ -323,10 +324,9 @@ func BenchmarkCompositeAllocs(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			err = mp.Run(env.p, benchWorldOpts(), func(c mp.Comm) error {
-				var img frame.Image
+				var work frame.Image
 				for i := 0; i < b.N; i++ {
-					img.CopyFrom(env.imgs[c.Rank()])
-					if _, err := comp.Composite(c, env.dec, env.cam.Dir, &img); err != nil {
+					if _, err := compositeGatherRound(c, env, comp, &work); err != nil {
 						return err
 					}
 				}

@@ -197,11 +197,17 @@ func (c *Client) Render(ctx context.Context, req server.Request) (*Frame, error)
 	if attempts < 1 {
 		attempts = 1
 	}
+	var typed error // the previous attempt's retryable typed error
 	for attempt := 0; ; attempt++ {
 		frame, err := c.renderOnce(ctx, req)
 		if err == nil {
 			upscalePreview(frame, req.Width, req.Height)
 			return frame, nil
+		}
+		if typed != nil && budgetSpent(ctx) {
+			// The retry ran into the deadline (a read timing out, say);
+			// the last typed error is more useful than a bare timeout.
+			return nil, typed
 		}
 		if !Retryable(err) || attempt+1 >= attempts {
 			return frame, err
@@ -211,7 +217,15 @@ func (c *Client) Render(ctx context.Context, req server.Request) (*Frame, error)
 			// more useful than a bare deadline error.
 			return nil, err
 		}
+		typed = err
 	}
+}
+
+// budgetSpent reports whether ctx is done or its deadline has passed
+// (a connection deadline set from it can fire before ctx's own timer).
+func budgetSpent(ctx context.Context) bool {
+	dl, ok := ctx.Deadline()
+	return ctx.Err() != nil || ok && !time.Now().Before(dl)
 }
 
 // backoff sleeps one jittered, capped exponential backoff step. It

@@ -11,9 +11,11 @@ import (
 // a wire-buffer codec, a reusable background/foreground encoding with
 // its SeqEncoder and Builder front ends, and a value-run slice. Stage
 // exchange regions shrink monotonically, so the storage sized by stage 1
-// serves every later stage without reallocating; mp.Comm.Send copies
-// payloads, which makes handing the same buffer to consecutive sends
-// safe. Each Composite call checks an arena out of a shared pool for its
+// serves every later stage without reallocating. mp.Comm.Send copies a
+// payload into a buffer the receiver owns (and may mp.Recycle once it
+// has consumed it), so handing the same arena buffer to consecutive
+// sends is safe; arena storage itself never goes to mp.Recycle. Each
+// Composite call checks an arena out of a shared pool for its
 // exclusive use — concurrent ranks never share scratch, and successive
 // composites over a standing communicator reuse warm buffers instead of
 // allocating fresh ones per frame.
@@ -60,6 +62,7 @@ func (s Scratch) Grab(n int) []byte { return s.a.codec.Grab(n) }
 
 // Retain gives a sent payload's storage back to the codec for reuse
 // (mp.Comm.Send copies, so the buffer is free as soon as Send returns).
+// It is for outgoing payloads only; received ones go to mp.Recycle.
 func (s Scratch) Retain(buf []byte) { s.a.codec.Retain(buf) }
 
 // Rect starts a payload with an 8-byte rectangle header, reserving room

@@ -57,8 +57,10 @@ func (BS) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3]float64,
 
 		cm := tr.Begin()
 		timer.Start()
+		img.GrowExact(keep) // exact, as in BSBRC
 		ops := img.CompositeWire(keep, recv, partnerInFront(dec, c.Rank(), stage, viewDir))
 		timer.Stop()
+		mp.Recycle(recv)
 		tr.End(cm, trace.SpanComposite, lbl)
 
 		s := st.StageAt(stage)

@@ -95,11 +95,13 @@ func (BSBR) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3]float6
 			}
 			cm := tr.Begin()
 			timer.Start()
+			img.GrowExact(recvBR) // exact, as in BSBRC
 			s.Composited = img.CompositeWire(recvBR, body,
 				partnerInFront(dec, c.Rank(), stage, viewDir))
 			timer.Stop()
 			tr.End(cm, trace.SpanComposite, lbl)
 		}
+		mp.Recycle(recv)
 
 		tr.End(sm, lbl, lbl)
 		localBR = keepBR.Union(recvBR)

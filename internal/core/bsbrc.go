@@ -109,30 +109,16 @@ func (BSBRC) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3]float
 				return nil, fmt.Errorf("bsbrc: stage %d: encoding covers %d pixels, rect %v has %d",
 					stage, e.Total(), recvBR, recvBR.Area())
 			}
-			front := partnerInFront(dec, c.Rank(), stage, viewDir)
-			img.Grow(recvBR)
-			rw := recvBR.Dx()
-			composited := 0
-			// Positions arrive in row-major order; fetch each scanline
-			// segment once.
-			rowY := -1
-			var row []frame.Pixel
-			e.Walk(func(seq int, p frame.Pixel) {
-				if y := recvBR.Y0 + seq/rw; y != rowY {
-					rowY = y
-					row = img.Row(y, recvBR.X0, recvBR.X1)
-				}
-				if front {
-					frame.OverInto(p, &row[seq%rw])
-				} else {
-					row[seq%rw] = frame.Over(row[seq%rw], p)
-				}
-				composited++
-			})
+			// Grow the working image to exactly the received rectangle:
+			// callers restore it with Image.CopyFrom, which keeps storage
+			// across frames, so Grow's geometric padding would only pin
+			// memory.
+			img.GrowExact(recvBR)
+			s.Composited = e.CompositeInto(img, recvBR, partnerInFront(dec, c.Rank(), stage, viewDir))
 			timer.Stop()
 			tr.End(cm, trace.SpanComposite, lbl)
-			s.Composited = composited
 		}
+		mp.Recycle(recv) // e, the parsed view, is dead from here on
 
 		tr.End(sm, lbl, lbl)
 		// Step 21: the new local bounding rectangle is the O(1) union.

@@ -122,6 +122,7 @@ func (m BSLC) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3]floa
 		s.BytesSent = len(payload)
 		s.BytesRecv = len(recv)
 		s.MsgsSent, s.MsgsRecv = 1, 1
+		mp.Recycle(recv) // e, the parsed view, is dead from here on
 
 		tr.End(sm, lbl, lbl)
 		own = keep

@@ -103,27 +103,11 @@ func (f *Folded) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3]f
 			if len(rest) != 0 || enc.Total() != br.Area() {
 				return nil, fmt.Errorf("fold: malformed payload from %d", e)
 			}
-			front := f.Plan.ExtraInFront(me, viewDir)
-			img.Grow(br)
-			w := br.Dx()
-			// Positions arrive in row-major order; fetch each scanline
-			// segment once.
-			rowY := -1
-			var row []frame.Pixel
-			enc.Walk(func(seq int, p frame.Pixel) {
-				if y := br.Y0 + seq/w; y != rowY {
-					rowY = y
-					row = img.Row(y, br.X0, br.X1)
-				}
-				if front {
-					frame.OverInto(p, &row[seq%w])
-				} else {
-					row[seq%w] = frame.Over(row[seq%w], p)
-				}
-				fold.Composited++
-			})
+			img.GrowExact(br) // exact, as in BSBRC
+			fold.Composited = enc.CompositeInto(img, br, f.Plan.ExtraInFront(me, viewDir))
 			foldTimer.Stop()
 		}
+		mp.Recycle(recv)
 	}
 
 	res, err := f.Inner.Composite(restrictedComm{Comm: c, size: f.Plan.Core}, dec, viewDir, img)

@@ -32,6 +32,10 @@ type Ownership interface {
 	// to describe; the gather rejects descriptors that do not fit
 	// before touching pixel storage.
 	Validate(full frame.Rect) error
+	// Extent returns a rectangle covering every pixel StoreWire writes,
+	// so the gather can size the final image once; ZR when the pixels
+	// are stored one by one and only the non-blank ones grow the image.
+	Extent() frame.Rect
 }
 
 const (
@@ -90,6 +94,9 @@ func (o RectOwn) Validate(full frame.Rect) error {
 	}
 	return nil
 }
+
+// Extent implements Ownership.
+func (o RectOwn) Extent() frame.Rect { return o.R }
 
 // RectSetOwn is ownership of an ordered list of disjoint non-empty
 // rectangles — the tile set a tile-routed compositor owns. An empty list
@@ -174,6 +181,15 @@ func (o RectSetOwn) Validate(full frame.Rect) error {
 		}
 	}
 	return nil
+}
+
+// Extent implements Ownership.
+func (o RectSetOwn) Extent() frame.Rect {
+	ext := frame.ZR
+	for _, r := range o.Rs {
+		ext = ext.Union(r)
+	}
+	return ext
 }
 
 // Interval is a half-open range of row-major linear pixel indices.
@@ -284,6 +300,10 @@ func (o IntervalOwn) Validate(full frame.Rect) error {
 	return nil
 }
 
+// Extent implements Ownership: interval stores set only the non-blank
+// pixels, so the image grows with them instead of being presized.
+func (o IntervalOwn) Extent() frame.Rect { return frame.ZR }
+
 // ParseOwnership decodes an ownership descriptor from the front of buf
 // and returns the remaining bytes.
 func ParseOwnership(buf []byte) (Ownership, []byte, error) {
@@ -341,35 +361,55 @@ func ParseOwnership(buf []byte) (Ownership, []byte, error) {
 // rank's composited result. Non-root ranks receive nil. The payload is
 // self-describing (ownership descriptor + packed pixels), so the root
 // needs no knowledge of the compositor that produced the distribution.
+// The root validates every part before it allocates the final image,
+// once, over the union of the owned extents, and recycles each part's
+// buffer after storing it.
 func GatherImage(c mp.Comm, root int, res *Result) (*frame.Image, error) {
-	payload := res.Own.AppendWire(nil)
+	sc := GetScratch()
+	defer sc.Release()
+	payload := res.Own.AppendWire(sc.Grab(gatherHeaderBytes + res.Own.Area()*frame.PixelBytes))
 	payload = res.Own.AppendPixels(res.Image, payload)
 	parts, err := c.Gather(root, payload)
+	sc.Retain(payload)
 	if err != nil {
 		return nil, err
 	}
 	if c.Rank() != root {
 		return nil, nil
 	}
-	final := frame.NewImage(res.Image.Full().Dx(), res.Image.Full().Dy())
+	full := res.Image.Full()
+	owns := make([]Ownership, len(parts))
+	bodies := make([][]byte, len(parts))
+	ext := frame.ZR
 	for r, part := range parts {
 		own, rest, err := ParseOwnership(part)
 		if err != nil {
 			return nil, fmt.Errorf("core: gather from rank %d: %w", r, err)
 		}
-		if err := own.Validate(res.Image.Full()); err != nil {
+		if err := own.Validate(full); err != nil {
 			return nil, fmt.Errorf("core: gather from rank %d: %w", r, err)
 		}
 		if len(rest) != own.Area()*frame.PixelBytes {
 			return nil, fmt.Errorf("core: gather from rank %d: %d payload bytes for %d pixels",
 				r, len(rest), own.Area())
 		}
-		if err := own.StoreWire(final, rest); err != nil {
+		owns[r], bodies[r] = own, rest
+		ext = ext.Union(own.Extent())
+	}
+	final := frame.NewImageBounds(full.Dx(), full.Dy(), ext)
+	for r, own := range owns {
+		if err := own.StoreWire(final, bodies[r]); err != nil {
 			return nil, fmt.Errorf("core: gather from rank %d: %w", r, err)
 		}
+		mp.Recycle(parts[r])
 	}
 	return final, nil
 }
+
+// gatherHeaderBytes is the scratch a gather payload reserves for its
+// ownership descriptor; longer descriptors grow the buffer once and the
+// pooled scratch keeps the growth.
+const gatherHeaderBytes = 64
 
 func appendU32(buf []byte, v uint32) []byte {
 	return append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))

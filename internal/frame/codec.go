@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // This file is the fused wire codec: the compositing data path between an
@@ -15,12 +16,15 @@ import (
 // All functions produce byte- and bit-identical results to the unfused
 // pairs, which stay available (and tested against) as the reference path.
 
-// Codec is a reusable scratch buffer for building wire messages. The
-// zero value is ready to use. A Codec is not safe for concurrent use;
-// each compositing rank holds its own. Because compositing stage regions
-// shrink monotonically, the first stage's buffer serves every later
-// stage without reallocating, and because mp.Comm.Send copies payloads,
-// reusing the buffer across stages is safe.
+// Codec is a reusable scratch buffer for building outgoing wire
+// messages. The zero value is ready to use. A Codec is not safe for
+// concurrent use; each compositing rank holds its own. Because
+// compositing stage regions shrink monotonically, the first stage's
+// buffer serves every later stage without reallocating. Sending never
+// gives the buffer away: mp.Comm.Send copies the payload into a buffer
+// the receiver owns, so the codec may refill its storage as soon as Send
+// returns. Codec storage is the sender's alone and must never be passed
+// to mp.Recycle, which is for received payloads.
 type Codec struct {
 	buf []byte
 }
@@ -52,12 +56,12 @@ func EncodeRegion(img *Image, region Rect, buf []byte) []byte {
 	region = region.Intersect(img.full)
 	need := region.Area() * PixelBytes
 	off := len(buf)
-	buf = append(buf, make([]byte, need)...)
+	buf = slices.Grow(buf, need)[:off+need]
 	out := buf[off:]
 	if !img.bounds.ContainsRect(region) {
-		// Parts of the region are blank; the appended bytes may reuse
-		// dirty scratch capacity, so clear before writing rows. (The
-		// append above only zeroes when it allocates fresh storage.)
+		// Parts of the region are blank and the extended bytes may be
+		// dirty scratch capacity, so clear before writing rows. A region
+		// inside the bounds overwrites every byte and needs no clearing.
 		clear(out)
 	}
 	w := region.Dx()
@@ -98,22 +102,29 @@ func (im *Image) CompositeWire(region Rect, wire []byte, srcInFront bool) int {
 	w := region.Dx()
 	ops := 0
 	for y := region.Y0; y < region.Y1; y++ {
-		dst := im.Row(y, region.X0, region.X1)
-		src := wire[(y-region.Y0)*w*PixelBytes:]
-		for x := range dst {
-			s := Pixel{
-				I: math.Float64frombits(binary.LittleEndian.Uint64(src[x*PixelBytes:])),
-				A: math.Float64frombits(binary.LittleEndian.Uint64(src[x*PixelBytes+8:])),
-			}
-			if s.Blank() {
-				continue
-			}
-			ops++
-			if srcInFront {
-				OverInto(s, &dst[x])
-			} else {
-				dst[x] = Over(dst[x], s)
-			}
+		off := (y - region.Y0) * w * PixelBytes
+		ops += CompositeRowWire(im.Row(y, region.X0, region.X1), wire[off:off+w*PixelBytes], srcInFront)
+	}
+	return ops
+}
+
+// CompositeRowWire composites the len(dst) wire-format pixels of wire
+// (exactly len(dst)*PixelBytes bytes) with dst, in front of the pixels
+// in dst when srcInFront is true and behind them otherwise, skipping
+// blank incoming pixels. It returns the number of over operations.
+func CompositeRowWire(dst []Pixel, wire []byte, srcInFront bool) int {
+	wire = wire[:len(dst)*PixelBytes]
+	ops := 0
+	for x := range dst {
+		s := GetPixel(wire[x*PixelBytes:])
+		if s.Blank() {
+			continue
+		}
+		ops++
+		if srcInFront {
+			OverInto(s, &dst[x])
+		} else {
+			dst[x] = Over(dst[x], s)
 		}
 	}
 	return ops

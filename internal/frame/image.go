@@ -222,21 +222,44 @@ func (im *Image) Clone() *Image {
 }
 
 // CopyFrom makes im an exact logical copy of src, reusing im's pixel
-// storage when it is large enough. The retained store keeps covering its
-// old (possibly larger) rectangle, so a working image that is restored
-// from a pristine source and re-grown every frame stops reallocating
-// after the first one.
+// storage. Storage outside the logical bounds is always blank (the
+// invariant Grow relies on), so only the part of the old bounds that the
+// copy does not overwrite needs clearing — work proportional to the old
+// content, not to the retained store. When the store is too small for
+// src it grows to cover both, so a working image that is restored from a
+// pristine source and re-grown every frame stops reallocating once its
+// store spans every frame's footprint.
 func (im *Image) CopyFrom(src *Image) {
-	im.full = src.full
-	if im.store.ContainsRect(src.bounds) && src.full.ContainsRect(im.store) {
-		clear(im.pix)
-	} else {
-		im.store = src.bounds
+	nb := src.bounds
+	switch {
+	case im.full != src.full:
+		im.full = src.full
+		im.store = nb
+		im.pix = make([]Pixel, nb.Area())
+	case im.store.ContainsRect(nb):
+		im.clearOutside(nb)
+	default:
+		im.store = im.store.Union(nb)
 		im.pix = make([]Pixel, im.store.Area())
 	}
-	im.bounds = src.bounds
-	for y := src.bounds.Y0; y < src.bounds.Y1; y++ {
-		copy(im.Row(y, src.bounds.X0, src.bounds.X1), src.Row(y, src.bounds.X0, src.bounds.X1))
+	im.bounds = nb
+	for y := nb.Y0; y < nb.Y1; y++ {
+		copy(im.Row(y, nb.X0, nb.X1), src.Row(y, nb.X0, nb.X1))
+	}
+}
+
+// clearOutside blanks every pixel of the current bounds that lies
+// outside keep, leaving the pixels inside keep as they are.
+func (im *Image) clearOutside(keep Rect) {
+	b := im.bounds
+	for y := b.Y0; y < b.Y1; y++ {
+		row := im.Row(y, b.X0, b.X1)
+		if y < keep.Y0 || y >= keep.Y1 {
+			clear(row)
+			continue
+		}
+		clear(row[:max(0, min(keep.X0, b.X1)-b.X0)])
+		clear(row[min(len(row), max(keep.X1-b.X0, 0)):])
 	}
 }
 

@@ -19,6 +19,9 @@ func TestConfigCheck(t *testing.T) {
 		{"unknown dataset", func(c *Config) { c.Dataset = "nope" }, "unknown dataset"},
 		{"zero width", func(c *Config) { c.Width = 0 }, "image size"},
 		{"negative height", func(c *Config) { c.Height = -1 }, "image size"},
+		{"frame at pixel cap", func(c *Config) { c.Width, c.Height = 4096, MaxFramePixels/4096 }, ""},
+		{"frame over pixel cap", func(c *Config) { c.Width, c.Height = 1<<20, 1<<20 }, "frame limit"},
+		{"one huge side", func(c *Config) { c.Width, c.Height = MaxFramePixels+1, 1 }, "frame limit"},
 		{"zero P", func(c *Config) { c.P = 0 }, "P = 0"},
 		{"unknown method", func(c *Config) { c.Method = "nope" }, "nope"},
 		{"non-pow2 binary swap ok", func(c *Config) { c.P = 6 }, ""},

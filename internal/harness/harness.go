@@ -219,6 +219,10 @@ func (cfg *Config) resolve() (*volume.Volume, *transfer.Func, error) {
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		return nil, nil, fmt.Errorf("harness: image size %dx%d", cfg.Width, cfg.Height)
 	}
+	if cfg.Width > MaxFramePixels/cfg.Height {
+		return nil, nil, fmt.Errorf("harness: image size %dx%d exceeds the %d-pixel frame limit",
+			cfg.Width, cfg.Height, MaxFramePixels)
+	}
 	if cfg.P <= 0 {
 		return nil, nil, fmt.Errorf("harness: P = %d", cfg.P)
 	}

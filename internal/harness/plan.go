@@ -228,6 +228,13 @@ func KnownDataset(name string) bool {
 	return false
 }
 
+// MaxFramePixels caps the pixel count of one frame. Every rank may hold
+// a full-frame working image (16 bytes a pixel) plus message buffers of
+// similar size, so without a cap a single request could make each rank
+// try to allocate without limit. 4096x4096 is 256 MB per full-frame
+// image, far above any frame the paper or the benchmarks use.
+const MaxFramePixels = 4096 * 4096
+
 // Check validates a Config without generating volumes or building a
 // world, so admission layers (the renderd server, CLI flag parsing) can
 // reject bad requests up front with a precise error. (Named Check
@@ -244,6 +251,10 @@ func (cfg *Config) Check() error {
 	}
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		return fmt.Errorf("harness: image size %dx%d must be positive", cfg.Width, cfg.Height)
+	}
+	if cfg.Width > MaxFramePixels/cfg.Height {
+		return fmt.Errorf("harness: image size %dx%d exceeds the %d-pixel frame limit",
+			cfg.Width, cfg.Height, MaxFramePixels)
 	}
 	if _, err := NormalizeQuality(cfg.Quality); err != nil {
 		return err

@@ -86,7 +86,8 @@ func gather(c rawComm, root int, payload []byte) ([][]byte, error) {
 		return nil, c.sendRaw(root, tagGather, payload)
 	}
 	out := make([][]byte, p)
-	out[root] = append([]byte(nil), payload...)
+	out[root] = getBuf(len(payload))
+	copy(out[root], payload)
 	for r := 0; r < p; r++ {
 		if r == root {
 			continue

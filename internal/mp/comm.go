@@ -37,7 +37,8 @@ type Comm interface {
 	Send(to, tag int, payload []byte) error
 	// Recv blocks until a message from rank `from` under `tag` arrives
 	// and returns its payload. Messages from the same (source, tag)
-	// channel arrive in send order.
+	// channel arrive in send order. The payload belongs to the caller,
+	// who may pass it to Recycle once it is fully consumed.
 	Recv(from, tag int) ([]byte, error)
 	// Sendrecv exchanges messages with a peer: it sends payload under
 	// tag and returns the message received from the same peer under the
@@ -51,7 +52,8 @@ type Comm interface {
 	// Non-root callers pass nil.
 	Bcast(root int, payload []byte) ([]byte, error)
 	// Gather collects every rank's payload at root, indexed by rank.
-	// Non-root callers receive nil.
+	// Non-root callers receive nil. Root's own entry is a copy, so every
+	// entry may be passed to Recycle like a received payload.
 	Gather(root int, payload []byte) ([][]byte, error)
 	// Scatter distributes payloads[i] to rank i from root and returns
 	// this rank's slice. Non-root callers pass nil.

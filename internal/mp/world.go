@@ -211,9 +211,10 @@ func (b *Mailbox) FailSource(src int) {
 	b.cond.Broadcast()
 }
 
-// Put copies payload and enqueues it on the (src, tag) channel.
+// Put copies payload into a pooled buffer (see Recycle) and enqueues it
+// on the (src, tag) channel; the caller keeps ownership of payload.
 func (b *Mailbox) Put(src, tag int, payload []byte) {
-	cp := make([]byte, len(payload))
+	cp := getBuf(len(payload))
 	copy(cp, payload)
 	b.mu.Lock()
 	k := msgKey{src, tag}

@@ -16,7 +16,9 @@
 package rle
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"sortlast/internal/frame"
 )
@@ -137,16 +139,22 @@ func (e *Encoding) Walk(fn func(seq int, p frame.Pixel)) error {
 // count, the codes, then the non-blank pixels. The framing fields are
 // bookkeeping of this implementation; WireBytes (what the cost model
 // charges) counts only codes and pixels, as the paper does.
+// The message is sized once and written in place, so packing into
+// scratch with enough capacity neither allocates nor zeroes.
 func (e *Encoding) Pack(buf []byte) []byte {
-	buf = appendU32(buf, uint32(e.Total))
-	buf = appendU32(buf, uint32(len(e.Codes)))
-	for _, c := range e.Codes {
-		buf = append(buf, byte(c), byte(c>>8))
+	off := len(buf)
+	n := 8 + len(e.Codes)*CodeBytes + len(e.NonBlank)*frame.PixelBytes
+	buf = slices.Grow(buf, n)[:off+n]
+	out := buf[off:]
+	binary.LittleEndian.PutUint32(out, uint32(e.Total))
+	binary.LittleEndian.PutUint32(out[4:], uint32(len(e.Codes)))
+	codes := out[8 : 8+len(e.Codes)*CodeBytes]
+	for i, c := range e.Codes {
+		binary.LittleEndian.PutUint16(codes[i*CodeBytes:], c)
 	}
-	var px [frame.PixelBytes]byte
-	for _, p := range e.NonBlank {
-		frame.PutPixel(px[:], p)
-		buf = append(buf, px[:]...)
+	px := out[8+len(codes):]
+	for i, p := range e.NonBlank {
+		frame.PutPixel(px[i*frame.PixelBytes:], p)
 	}
 	return buf
 }

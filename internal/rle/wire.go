@@ -134,7 +134,8 @@ func EncodeRect(img *frame.Image, region frame.Rect, e *Encoding) {
 // Wire is a validated zero-copy view over a Pack-serialized encoding:
 // it keeps the raw code and pixel bytes of the message buffer instead of
 // decoding them into slices. A Wire is only valid while the underlying
-// buffer is; receivers walk it before reusing their scratch.
+// buffer is: a receiver must be done with it before it recycles the
+// message buffer (mp.Recycle).
 type Wire struct {
 	total int
 	codes []byte // NumCodes 2-byte little-endian run lengths
@@ -191,6 +192,38 @@ func (w Wire) NumNonBlank() int { return len(w.px) / frame.PixelBytes }
 
 func (w Wire) code(i int) int {
 	return int(w.codes[2*i]) | int(w.codes[2*i+1])<<8
+}
+
+// CompositeInto composites the message's foreground pixels into img
+// over r, the rectangle whose pixels the sequence encodes row-major: in
+// front of the pixels already there when front is true, behind them
+// otherwise. It grows img to cover r and returns the number of over
+// operations. Foreground runs are composited a scanline segment at a
+// time, straight from the wire bytes.
+func (w Wire) CompositeInto(img *frame.Image, r frame.Rect, front bool) int {
+	if w.total != r.Area() {
+		panic(fmt.Sprintf("rle: CompositeInto: encoding covers %d pixels, rect %v has %d",
+			w.total, r, r.Area()))
+	}
+	img.Grow(r)
+	rw := r.Dx()
+	pos, px, ops := 0, w.px, 0
+	for i, n := 0, w.NumCodes(); i < n; i++ {
+		c := w.code(i)
+		if i%2 == 1 { // codes alternate blank, foreground, blank, ...
+			for end := pos + c; pos < end; {
+				x, y := pos%rw, pos/rw
+				seg := min(end-pos, rw-x)
+				row := img.Row(r.Y0+y, r.X0+x, r.X0+x+seg)
+				ops += frame.CompositeRowWire(row, px[:seg*frame.PixelBytes], front)
+				px = px[seg*frame.PixelBytes:]
+				pos += seg
+			}
+			continue
+		}
+		pos += c
+	}
+	return ops
 }
 
 // Walk calls fn once per foreground pixel with its position in the

@@ -239,3 +239,50 @@ func TestEncodeValuesRectMatchesEncodeValues(t *testing.T) {
 		t.Fatalf("long-run split: %d runs, want %d", len(got), len(want))
 	}
 }
+
+// CompositeInto must equal compositing the decoded dense pixels with
+// Image.CompositeRegion bit for bit, in front and behind, including
+// runs that wrap scanlines and runs longer than one code can hold.
+func TestCompositeIntoMatchesDense(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	check := func(label string, w, h int, region frame.Rect, in []frame.Pixel) {
+		t.Helper()
+		e := Encode(in)
+		wire, rest, err := ParseWire(e.Pack(nil))
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("%s: parse: %v (%d trailing bytes)", label, err, len(rest))
+		}
+		base := sparseImage(r.Int63(), w, h, frame.XYWH(w/4, h/4, w/2, h/2))
+		for _, front := range []bool{true, false} {
+			got, want := base.Clone(), base.Clone()
+			gotOps := wire.CompositeInto(got, region, front)
+			wantOps := want.CompositeRegion(region, in, front)
+			if gotOps != wantOps {
+				t.Fatalf("%s front=%v: %d over operations, want %d", label, front, gotOps, wantOps)
+			}
+			if got.Bounds() != want.Bounds() {
+				t.Fatalf("%s front=%v: bounds %v, want %v", label, front, got.Bounds(), want.Bounds())
+			}
+			for y := 0; y < h; y++ {
+				for x := 0; x < w; x++ {
+					if got.At(x, y) != want.At(x, y) {
+						t.Fatalf("%s front=%v: pixel (%d,%d) = %v, want %v",
+							label, front, x, y, got.At(x, y), want.At(x, y))
+					}
+				}
+			}
+		}
+	}
+	for trial := 0; trial < 60; trial++ {
+		w, h := 8+r.Intn(40), 8+r.Intn(40)
+		x0, y0 := r.Intn(w), r.Intn(h)
+		region := frame.Rect{X0: x0, Y0: y0, X1: x0 + 1 + r.Intn(w-x0), Y1: y0 + 1 + r.Intn(h-y0)}
+		check("random", w, h, region, randSparsePixels(r, region.Area(), r.Float64()))
+	}
+	// A foreground run longer than maxRun splits into several codes.
+	dense := make([]frame.Pixel, 300*240)
+	for i := range dense {
+		dense[i] = px(0.5*r.Float64(), 0.1+0.5*r.Float64())
+	}
+	check("long run", 300, 250, frame.XYWH(0, 5, 300, 240), dense)
+}

@@ -217,16 +217,33 @@ func TestDegradeUnderOverload(t *testing.T) {
 // early-termination cutoff — and completes inside a doubled window,
 // instead of tearing the world down. The frame must come back OK,
 // reporting approx quality with a positive bound, and the world must
-// never restart. Timing is calibrated from a measured full render and
-// retried across watchdog scales, since the demotion only engages when
-// the deadline lands mid-render.
+// never restart. Timing is calibrated from the same frame served by a
+// server without watchdog pressure and retried across watchdog scales,
+// since the demotion only engages when the deadline lands mid-render.
+// The frame (head, 320²) renders for tens of milliseconds, well above
+// the watchdog's 5 ms polling tick, so a deadline at a fraction of the
+// frame lands inside the render on a fast host as on a slow one.
 func TestWatchdogDemotesSlowFrame(t *testing.T) {
 	const p = 2
-	req := server.Request{Dataset: "cube", Method: "bsbrc", Width: 320, Height: 320, DegradeOK: true}
+	req := server.Request{Dataset: "head", Method: "bsbrc", Width: 320, Height: 320, DegradeOK: true}
 
-	start := time.Now()
-	referenceGray(t, server.Request{Dataset: req.Dataset, Method: req.Method, Width: req.Width, Height: req.Height}, p, 0)
-	full := time.Since(start)
+	var full time.Duration
+	{
+		srv, err := server.Start(server.Config{Addr: "127.0.0.1:0", P: p, DefaultDeadline: 2 * time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl := client.New(srv.Addr().String())
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+		f, err := cl.Render(ctx, req)
+		cancel()
+		cl.Close()
+		srv.Shutdown(context.Background())
+		if err != nil {
+			t.Fatalf("calibration frame: %v", err)
+		}
+		full = time.Duration(f.Stats.TotalMS * float64(time.Millisecond))
+	}
 
 	for _, scale := range []float64{0.5, 0.25, 0.75} {
 		timeout := time.Duration(float64(full) * scale)

@@ -43,6 +43,10 @@ func TestBadRequestsAreTyped(t *testing.T) {
 		{Dataset: "cube", Method: "nope", Width: 32, Height: 32},
 		{Dataset: "cube", Method: "bsbrc", Width: 0, Height: 32},
 		{Dataset: "cube", Method: "bsbrc", Width: 32, Height: -3},
+		// Over the frame pixel cap: rejected at admission, before any
+		// rank allocates (2^20 x 2^20 would be 16 TB per full image).
+		{Dataset: "cube", Method: "bsbrc", Width: 1 << 20, Height: 1 << 20},
+		{Dataset: "cube", Method: "bsbrc", Width: 1 << 20, Height: 1 << 20, Quality: "preview"},
 	}
 	for _, req := range cases {
 		if _, err := cl.Render(ctx, req); !errors.Is(err, client.ErrBadRequest) {

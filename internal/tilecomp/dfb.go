@@ -187,12 +187,13 @@ func (d DFB) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3]float
 			}
 			rest = after
 			timer.Start()
-			merge.Composited += compositeWireBehind(out, r, e)
+			merge.Composited += e.CompositeInto(out, r, false)
 			timer.Stop()
 		}
 		if len(rest) != 0 {
 			return nil, fmt.Errorf("dfb: %d trailing bytes from %d", len(rest), src)
 		}
+		mp.Recycle(recv)
 	}
 	tr.End(cm, trace.SpanComposite, trace.StageMerge)
 	tr.End(cm, trace.StageMerge, trace.StageMerge)

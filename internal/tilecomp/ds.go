@@ -138,8 +138,9 @@ func (d DS) Composite(c mp.Comm, dec *partition.Decomposition, viewDir [3]float6
 			return nil, fmt.Errorf("ds: %d trailing bytes from %d", len(rest), src)
 		}
 		timer.Start()
-		merge.Composited += compositeWireBehind(out, r, e)
+		merge.Composited += e.CompositeInto(out, r, false)
 		timer.Stop()
+		mp.Recycle(recv) // e, the parsed view, is dead from here on
 	}
 	tr.End(cm, trace.SpanComposite, trace.StageMerge)
 	tr.End(cm, trace.StageMerge, trace.StageMerge)

@@ -100,28 +100,6 @@ func resolveLayout(lay partition.Layout, dec *partition.Decomposition, c mp.Comm
 	return lay, nil
 }
 
-// compositeWireBehind composites a parsed run-length wire over rect r
-// into out, behind the pixels already accumulated (out holds everything
-// nearer the viewer). Returns the number of over operations.
-func compositeWireBehind(out *frame.Image, r frame.Rect, e rle.Wire) int {
-	out.Grow(r)
-	w := r.Dx()
-	n := 0
-	// Positions arrive in row-major order; fetch each scanline segment
-	// once.
-	rowY := -1
-	var row []frame.Pixel
-	e.Walk(func(seq int, p frame.Pixel) {
-		if y := r.Y0 + seq/w; y != rowY {
-			rowY = y
-			row = out.Row(y, r.X0, r.X1)
-		}
-		row[seq%w] = frame.Over(row[seq%w], p)
-		n++
-	})
-	return n
-}
-
 // parseRegion validates and parses one rect-framed RLE payload body.
 func parseRegion(r frame.Rect, body []byte) (rle.Wire, []byte, error) {
 	e, rest, err := rle.ParseWire(body)

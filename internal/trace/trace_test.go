@@ -194,34 +194,39 @@ func TestEnabledZeroAllocsWithTraceID(t *testing.T) {
 // record the same request concurrently into separate recorders, the
 // gateway exports both as sibling attempt processes. Each track must
 // still validate and the merged export must stay well-formed while the
-// recorders are live.
+// recorders are live. Recording is paced by the exports — each export
+// releases a fixed budget of spans per goroutine, recorded while that
+// export runs — so the buffers stay bounded however fast the host is.
 func TestConcurrentRecordersExport(t *testing.T) {
+	const exports, pairsPerExport = 50, 200
 	id := NewID()
 	recs := []*Recorder{NewRecorder(2), NewRecorder(2)}
+	ticks := make([]chan struct{}, exports)
+	for i := range ticks {
+		ticks[i] = make(chan struct{})
+	}
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
 	for _, rec := range recs {
 		rec.SetTraceID(id)
 		for i := 0; i < rec.Size(); i++ {
 			wg.Add(1)
 			go func(r *Rank) {
 				defer wg.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
+				for _, tick := range ticks {
+					<-tick
+					for j := 0; j < pairsPerExport; j++ {
+						m := r.Begin()
+						cm := r.Begin()
+						r.End(cm, SpanEncode, "stage1")
+						r.End(m, "stage1", "stage1")
 					}
-					m := r.Begin()
-					cm := r.Begin()
-					r.End(cm, SpanEncode, "stage1")
-					r.End(m, "stage1", "stage1")
 				}
 			}(rec.Rank(i))
 		}
 	}
 	// Export repeatedly while the ranks are still recording.
-	for iter := 0; iter < 50; iter++ {
+	for iter := 0; iter < exports; iter++ {
+		close(ticks[iter])
 		wires := make([]*Wire, len(recs))
 		for i, rec := range recs {
 			wires[i] = BuildWire(id, "attempt", time.Millisecond, nil, rec)
@@ -239,11 +244,13 @@ func TestConcurrentRecordersExport(t *testing.T) {
 			t.Fatalf("live export is not valid JSON: %v", err)
 		}
 	}
-	close(stop)
 	wg.Wait()
 	// After the dust settles every rank track must be a proper tree.
 	for _, rec := range recs {
 		for _, spans := range rec.Snapshot() {
+			if len(spans) != 2*exports*pairsPerExport {
+				t.Fatalf("rank recorded %d spans, want %d", len(spans), 2*exports*pairsPerExport)
+			}
 			if err := ValidateNesting(spans); err != nil {
 				t.Fatalf("concurrent recording broke nesting: %v", err)
 			}
