@@ -1,6 +1,7 @@
 package sortlast_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -26,6 +27,10 @@ func TestRenderErrorPaths(t *testing.T) {
 			sortlast.Options{Processors: 4, Width: 32, Height: -8}, "image size"},
 		{"negative processors", "cube",
 			sortlast.Options{Processors: -2, Width: 32, Height: 32}, "P = -2"},
+		{"NaN rotation", "cube",
+			sortlast.Options{Processors: 2, Width: 32, Height: 32, RotX: math.NaN()}, "RotX = NaN must be finite"},
+		{"infinite rotation", "cube",
+			sortlast.Options{Processors: 2, Width: 32, Height: 32, RotY: math.Inf(-1)}, "RotY = -Inf must be finite"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -8,6 +8,7 @@ package client
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -323,7 +324,13 @@ func roundTrip(ctx context.Context, conn net.Conn, req server.Request) (*Frame, 
 	if err := conn.SetDeadline(deadline); err != nil {
 		return nil, err
 	}
-	if err := server.WriteJSON(conn, req); err != nil {
+	b, err := json.Marshal(req)
+	if err != nil {
+		// A request JSON cannot carry (a NaN or infinite rotation) is a
+		// bad request; nothing was written, so the stream stays in step.
+		return nil, &Error{Code: server.CodeBadRequest, Msg: "request does not encode: " + err.Error()}
+	}
+	if err := server.WriteFrame(conn, b); err != nil {
 		return nil, fmt.Errorf("renderd: send: %w", err)
 	}
 	var resp server.Response

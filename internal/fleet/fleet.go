@@ -307,11 +307,14 @@ func (g *Gateway) handleConn(conn net.Conn) {
 		conn.Close()
 	}()
 	for {
-		var req server.Request
-		if err := server.ReadJSON(conn, server.MaxRequestFrame, &req); err != nil {
+		req, resp, err := server.ReadRequest(conn)
+		if err != nil {
 			return // EOF, deadline from Shutdown, or garbage framing
 		}
-		resp, gray := g.serve(req)
+		var gray []byte
+		if resp == nil {
+			resp, gray = g.serve(req)
+		}
 		if err := server.WriteJSON(conn, resp); err != nil {
 			return
 		}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -29,6 +30,10 @@ func TestConfigCheck(t *testing.T) {
 		{"non-pow2 ds ok", func(c *Config) { c.P = 6; c.Method = "ds" }, ""},
 		{"non-pow2 dfb ok", func(c *Config) { c.P = 6; c.Method = "dfb" }, ""},
 		{"non-pow2 balanced render", func(c *Config) { c.P = 6; c.BalanceRender = true }, "power-of-two"},
+		{"NaN RotX", func(c *Config) { c.RotX = math.NaN() }, "RotX = NaN must be finite"},
+		{"+Inf RotY", func(c *Config) { c.RotY = math.Inf(1) }, "RotY = +Inf must be finite"},
+		{"-Inf RotX", func(c *Config) { c.RotX = math.Inf(-1) }, "RotX = -Inf must be finite"},
+		{"large finite rotation ok", func(c *Config) { c.RotX, c.RotY = -1e6, 720.5 }, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -8,6 +8,7 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 	"sync"
@@ -226,7 +227,25 @@ func (cfg *Config) resolve() (*volume.Volume, *transfer.Func, error) {
 	if cfg.P <= 0 {
 		return nil, nil, fmt.Errorf("harness: P = %d", cfg.P)
 	}
+	if err := cfg.checkRotation(); err != nil {
+		return nil, nil, err
+	}
 	return vol, tf, nil
+}
+
+// checkRotation rejects a non-finite view rotation. NaN or ±Inf degrees
+// give the camera non-finite axes: no ray meets the volume and the
+// frame would come back silently blank.
+func (cfg *Config) checkRotation() error {
+	for _, r := range []struct {
+		name string
+		deg  float64
+	}{{"RotX", cfg.RotX}, {"RotY", cfg.RotY}} {
+		if math.IsNaN(r.deg) || math.IsInf(r.deg, 0) {
+			return fmt.Errorf("harness: rotation %s = %v must be finite", r.name, r.deg)
+		}
+	}
+	return nil
 }
 
 func (cfg *Config) params() costmodel.Params {

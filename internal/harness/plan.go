@@ -262,6 +262,9 @@ func (cfg *Config) Check() error {
 	if cfg.P <= 0 {
 		return fmt.Errorf("harness: P = %d must be positive", cfg.P)
 	}
+	if err := cfg.checkRotation(); err != nil {
+		return err
+	}
 	// "auto" resolves at plan time to one of the selector's candidates,
 	// all of which serve any rank count (fold or natively).
 	if !autotune.IsAuto(cfg.Method) {

@@ -14,7 +14,9 @@ import (
 // evaluating extra samples is always sound, only skipping needs proof —
 // so the margin only has to dominate the ~1e-9 accumulated float error
 // of the DDA's boundary parameters, which a quarter voxel does with
-// eight orders of magnitude to spare.
+// eight orders of magnitude to spare. The one exception is a crossing
+// between two empty cells that each span at least 2·skipSafety: every
+// margin sample there lies in one of the two, so it is skipped too.
 const skipSafety = 0.25
 
 // kernel is one Raycast invocation's precomputed state: transfer tables
@@ -85,6 +87,14 @@ func newKernel(s Sampler, box volume.Box, cam *Camera, tf *transfer.Func, opt Op
 		k.gridOrg = [3]float64{
 			float64(lo[0] - ghost), float64(lo[1] - ghost), float64(lo[2] - ghost),
 		}
+	}
+	if k.vol != nil && !unitTables(tf) {
+		// The fast loop's zero-opacity argument (runFast) needs both
+		// tables inside [0, 1], as transfer.Func documents; any other
+		// table samples through the interface, which keeps the
+		// reference's per-sample zero test. The grid stays: a skip is
+		// sound for any table.
+		k.vol = nil
 	}
 	if k.vol != nil {
 		k.data = k.vol.Data
@@ -190,8 +200,10 @@ func (k *kernel) castRay(px, py int, st *tileStats) frame.Pixel {
 // the sample interval [kA, kB]. Cells that classify to zero opacity
 // have their interior samples skipped wholesale; samples within
 // skipSafety of a cell boundary, and every sample of a non-empty cell,
-// are evaluated exactly as the reference kernel would. The kNext cursor
-// is monotone, so no sample is evaluated twice.
+// are evaluated exactly as the reference kernel would — except at an
+// isolated crossing between two empty cells, whose margin samples all
+// lie in one of the two and are skipped too. The kNext cursor is
+// monotone, so no sample is evaluated twice.
 func (k *kernel) traverse(origin [3]float64, kA, kB int, acc *frame.Pixel, st *tileStats) {
 	d := k.cam.Dir
 	tA := (float64(kA) + 0.5) * k.dt
@@ -225,6 +237,10 @@ func (k *kernel) traverse(origin [3]float64, kA, kB int, acc *frame.Pixel, st *t
 
 	kNext := kA  // first sample neither evaluated nor skipped yet
 	tEnter := tA // parameter at which the DDA entered the current cell
+	// prevLong: the previous cell was empty and its DDA interval spans
+	// at least 2·skipSafety, so no other boundary lies within the margin
+	// before the current cell's entry.
+	prevLong := false
 	for kNext <= kB {
 		tExit := tNext[0]
 		if tNext[1] < tExit {
@@ -233,31 +249,28 @@ func (k *kernel) traverse(origin [3]float64, kA, kB int, acc *frame.Pixel, st *t
 		if tNext[2] < tExit {
 			tExit = tNext[2]
 		}
-		if tExit >= tB {
-			// Final cell the interval reaches: evaluate the remainder
-			// (conservative for an empty final cell, but it bounds the
-			// loop and at most one cell's samples are evaluated).
-			st.cellsVisited++
-			k.processRun(origin, kNext, kB, acc, st)
-			return
-		}
+		last := tExit >= tB // final cell the sample interval reaches
 		st.cellsVisited++
 		if k.cellEmpty(c[0], c[1], c[2]) {
 			st.cellsSkipped++
+			long := tExit-tEnter >= 2*skipSafety
 			// Indices whose parameters clear both boundaries by the
 			// safety margin are provably transparent; stragglers below
 			// the window (this cell's entry zone plus any boundary
-			// samples earlier cells left behind) are evaluated.
-			kSkipLo := int(math.Ceil((tEnter+skipSafety)/k.dt - 0.5))
+			// samples earlier cells left behind) are evaluated — unless
+			// the crossing is isolated between two empty cells: then
+			// every sample from the cursor on lies in the previous cell
+			// or this one, and the window opens at the cursor.
+			kSkipLo := kNext
+			if !(prevLong && long) {
+				kSkipLo = int(math.Ceil((tEnter+skipSafety)/k.dt - 0.5))
+			}
 			kSkipHi := int(math.Floor((tExit-skipSafety)/k.dt - 0.5))
 			if kSkipHi > kB {
 				kSkipHi = kB
 			}
 			if kSkipLo > kNext {
-				hi := kSkipLo - 1
-				if hi > kB {
-					hi = kB
-				}
+				hi := min(kSkipLo-1, kB)
 				if k.processRun(origin, kNext, hi, acc, st) {
 					return
 				}
@@ -267,17 +280,23 @@ func (k *kernel) traverse(origin [3]float64, kA, kB int, acc *frame.Pixel, st *t
 				st.samplesSkipped += int64(kSkipHi - kNext + 1)
 				kNext = kSkipHi + 1
 			}
+			prevLong = long
 		} else {
-			kCellHi := int(math.Floor(tExit/k.dt - 0.5))
-			if kCellHi > kB {
-				kCellHi = kB
-			}
+			prevLong = false
+			kCellHi := min(int(math.Floor(tExit/k.dt-0.5)), kB)
 			if kCellHi >= kNext {
 				if k.processRun(origin, kNext, kCellHi, acc, st) {
 					return
 				}
 				kNext = kCellHi + 1
 			}
+		}
+		if last {
+			// Whatever the final cell left — its exit margin, if the
+			// interval reaches into it — is evaluated; that bounds the
+			// loop without stepping past the interval.
+			k.processRun(origin, kNext, kB, acc, st)
+			return
 		}
 		// Step across the nearest boundary into the neighboring cell.
 		ax := 0
@@ -299,84 +318,143 @@ func (k *kernel) traverse(origin [3]float64, kA, kB int, acc *frame.Pixel, st *t
 // never incrementally accumulated) so they are bit-identical to the
 // reference kernel's.
 func (k *kernel) processRun(origin [3]float64, k0, k1 int, acc *frame.Pixel, st *tileStats) bool {
+	if k1 < k0 {
+		return false
+	}
+	if k.vol != nil {
+		return k.runFast(origin, k0, k1, acc, st)
+	}
 	d := k.cam.Dir
-	fast := k.vol != nil
 	for kk := k0; kk <= k1; kk++ {
 		t := (float64(kk) + 0.5) * k.dt
-		x := origin[0] + t*d[0]
-		y := origin[1] + t*d[1]
-		z := origin[2] + t*d[2]
-		st.samples++
-		var done bool
-		if fast {
-			done = k.accumulateFast(x, y, z, acc)
-		} else {
-			done = k.accumulateGeneric(x, y, z, acc)
-		}
-		if done {
+		if k.accumulateGeneric(origin[0]+t*d[0], origin[1]+t*d[1], origin[2]+t*d[2], acc) {
+			st.samples += int64(kk - k0 + 1)
 			return true
 		}
 	}
+	st.samples += int64(k1 - k0 + 1)
 	return false
 }
 
-// accumulateFast classifies, shades and composites one sample through
-// the concrete-type path. Each shortcut reproduces the reference
-// arithmetic bit for bit:
+// runFast is processRun's straight-line loop for the concrete samplers:
+// the subvolume mapping, trilinear sample, classification, opacity
+// correction and composite of every sample, inlined, with the
+// loop-invariant choices (subvolume, shading, dt == 1) hoisted into
+// predictable branches. Each step reproduces the reference arithmetic
+// bit for bit (DESIGN.md §11):
 //
-//   - the transfer lookup inlines transfer.Func.Classify;
-//   - where the opacity table is flat across the interpolation span,
-//     the lerp returns the table entry exactly, so the precomputed
-//     correction corr[i] applies; for dt == 1, math.Pow(x, 1) == x
-//     collapses the correction to 1−(1−op); only a varying table entry
-//     under dt ≠ 1 still pays math.Pow;
 //   - subvolume coordinates map with the same two rounded operations,
-//     in the same order, as Subvolume.Sample.
-func (k *kernel) accumulateFast(x, y, z float64, acc *frame.Pixel) bool {
-	lx, ly, lz := x, y, z
-	if k.sub {
-		lx = x - k.subLo[0] + k.subGhost
-		ly = y - k.subLo[1] + k.subGhost
-		lz = z - k.subLo[2] + k.subGhost
-	}
-	v := k.sampleLocal(lx, ly, lz)
+//     in the same order, as Subvolume.Sample;
+//   - a non-negative coordinate truncates with int(), which equals
+//     math.Floor there; negative ones (only at the lower volume edge)
+//     still call math.Floor, and the At fallback serves the boundary;
+//   - the transfer lookup inlines transfer.Func.Classify. Its v <= 0
+//     case needs no branch: values are non-negative, and at v == 0 the
+//     general lerp (i = 0, t = 0) returns Opacity[0] and Intensity[0];
+//   - for dt == 1, math.Pow(x, 1) == x collapses the correction to
+//     1−(1−op); otherwise, where the opacity table is flat across the
+//     interpolation span, the lerp returns the table entry exactly and
+//     the precomputed corr[i] applies, and only a varying entry still
+//     pays math.Pow;
+//   - unshaded, a zero-opacity sample is composited instead of skipped:
+//     its correction is exactly 0 (1−(1−0) and 1−Pow(1, dt) both are),
+//     so w = 0 and I and A keep their bits (newKernel routes tables
+//     outside [0, 1], where that could fail, to the generic path). The
+//     termination test then repeats a result already false. Shaded,
+//     the skip stays, so transparent samples never pay for a gradient.
+func (k *kernel) runFast(origin [3]float64, k0, k1 int, acc *frame.Pixel, st *tileStats) bool {
+	ox, oy, oz := origin[0], origin[1], origin[2]
+	dx, dy, dz := k.cam.Dir[0], k.cam.Dir[1], k.cam.Dir[2]
+	dt := k.dt
+	sub, shaded, dtIsOne := k.sub, k.shaded, k.dtIsOne
+	lo, g := k.subLo, k.subGhost
+	data := k.data
+	nx, ny, nz := k.nx, k.ny, k.nz
+	nxy := nx * ny
+	opac, inten := k.opac, k.inten
+	cutoff := k.cutoff
+	accI, accA := acc.I, acc.A
 
-	var op, in, a float64
-	switch {
-	case v <= 0:
-		op, in, a = k.opac[0], k.inten[0], k.corr[0]
-	case v >= 1:
-		op, in, a = k.opac[255], k.inten[255], k.corr[255]
-	default:
-		xf := v * 255
-		i := int(xf)
-		t := xf - float64(i)
-		o0 := k.opac[i]
-		op = o0 + t*(k.opac[i+1]-o0)
-		if op <= 0 {
-			return false
+	for kk := k0; kk <= k1; kk++ {
+		t := (float64(kk) + 0.5) * dt
+		lx := ox + t*dx
+		ly := oy + t*dy
+		lz := oz + t*dz
+		if sub {
+			lx = lx - lo[0] + g
+			ly = ly - lo[1] + g
+			lz = lz - lo[2] + g
 		}
-		in0 := k.inten[i]
-		in = in0 + t*(k.inten[i+1]-in0)
-		switch {
-		case k.flat[i]:
-			a = k.corr[i]
-		case k.dtIsOne:
-			a = 1 - (1 - op)
-		default:
-			a = 1 - math.Pow(1-op, k.dt)
+
+		// Trilinear sample: sampleLocal, inlined by hand.
+		x, y, z := lx-0.5, ly-0.5, lz-0.5
+		x0, y0, z0 := int(x), int(y), int(z)
+		if x < 0 {
+			x0 = int(math.Floor(x))
+		}
+		if y < 0 {
+			y0 = int(math.Floor(y))
+		}
+		if z < 0 {
+			z0 = int(math.Floor(z))
+		}
+		fx, fy, fz := x-float64(x0), y-float64(y0), z-float64(z0)
+		var c000, c100, c010, c110, c001, c101, c011, c111 float64
+		if uint(x0) < uint(nx-1) && uint(y0) < uint(ny-1) && uint(z0) < uint(nz-1) {
+			base := (z0*ny+y0)*nx + x0
+			c000 = float64(data[base])
+			c100 = float64(data[base+1])
+			c010 = float64(data[base+nx])
+			c110 = float64(data[base+nx+1])
+			c001 = float64(data[base+nxy])
+			c101 = float64(data[base+nxy+1])
+			c011 = float64(data[base+nxy+nx])
+			c111 = float64(data[base+nxy+nx+1])
+		} else {
+			c000, c100, c010, c110, c001, c101, c011, c111 = k.cornersAt(x0, y0, z0)
+		}
+		v := trilerp(c000, c100, c010, c110, c001, c101, c011, c111, fx, fy, fz)
+
+		// Classification and opacity correction.
+		var op, in, a float64
+		if v < 1 {
+			xf := v * 255
+			i := int(xf)
+			ti := xf - float64(i)
+			o0 := opac[i]
+			op = o0 + ti*(opac[i+1]-o0)
+			in0 := inten[i]
+			in = in0 + ti*(inten[i+1]-in0)
+			switch {
+			case dtIsOne:
+				a = 1 - (1 - op)
+			case k.flat[i]:
+				a = k.corr[i]
+			default:
+				a = 1 - math.Pow(1-op, dt)
+			}
+		} else {
+			op, in, a = opac[255], inten[255], k.corr[255]
+		}
+		if shaded {
+			if op <= 0 {
+				continue
+			}
+			in *= k.shadeLocal(lx, ly, lz)
+		}
+
+		w := (1 - accA) * a
+		accI += w * in
+		accA += w
+		if accA >= cutoff {
+			acc.I, acc.A = accI, accA
+			st.samples += int64(kk - k0 + 1)
+			return true
 		}
 	}
-	if op <= 0 {
-		return false
-	}
-	if k.shaded {
-		in *= k.shadeLocal(lx, ly, lz)
-	}
-	w := (1 - acc.A) * a
-	acc.I += w * in
-	acc.A += w
-	return acc.A >= k.cutoff
+	acc.I, acc.A = accI, accA
+	st.samples += int64(k1 - k0 + 1)
+	return false
 }
 
 // accumulateGeneric is the Sampler-interface fallback for custom
@@ -406,37 +484,53 @@ func (k *kernel) accumulateGeneric(x, y, z float64, acc *frame.Pixel) bool {
 // sampleLocal reproduces volume.Volume.Sample bit for bit: direct
 // strided loads in the interior, an At-based fallback at the boundary
 // (where the reference zero-extends), and the identical lerp chain.
-func (k *kernel) sampleLocal(x, y, z float64) float64 {
-	x -= 0.5
-	y -= 0.5
-	z -= 0.5
-	x0, y0, z0 := int(math.Floor(x)), int(math.Floor(y)), int(math.Floor(z))
-	fx, fy, fz := x-float64(x0), y-float64(y0), z-float64(z0)
-
-	var c000, c100, c010, c110, c001, c101, c011, c111 float64
-	if x0 >= 0 && y0 >= 0 && z0 >= 0 && x0+1 < k.nx && y0+1 < k.ny && z0+1 < k.nz {
-		d := k.data
-		nx, nxy := k.nx, k.nx*k.ny
-		base := (z0*k.ny+y0)*k.nx + x0
-		c000 = float64(d[base])
-		c100 = float64(d[base+1])
-		c010 = float64(d[base+nx])
-		c110 = float64(d[base+nx+1])
-		c001 = float64(d[base+nxy])
-		c101 = float64(d[base+nxy+1])
-		c011 = float64(d[base+nxy+nx])
-		c111 = float64(d[base+nxy+nx+1])
-	} else {
-		v := k.vol
-		c000 = float64(v.At(x0, y0, z0))
-		c100 = float64(v.At(x0+1, y0, z0))
-		c010 = float64(v.At(x0, y0+1, z0))
-		c110 = float64(v.At(x0+1, y0+1, z0))
-		c001 = float64(v.At(x0, y0, z0+1))
-		c101 = float64(v.At(x0+1, y0, z0+1))
-		c011 = float64(v.At(x0, y0+1, z0+1))
-		c111 = float64(v.At(x0+1, y0+1, z0+1))
+// runFast carries the same code inlined by hand.
+func (k *kernel) sampleLocal(lx, ly, lz float64) float64 {
+	x, y, z := lx-0.5, ly-0.5, lz-0.5
+	x0, y0, z0 := int(x), int(y), int(z)
+	if x < 0 {
+		x0 = int(math.Floor(x))
 	}
+	if y < 0 {
+		y0 = int(math.Floor(y))
+	}
+	if z < 0 {
+		z0 = int(math.Floor(z))
+	}
+	fx, fy, fz := x-float64(x0), y-float64(y0), z-float64(z0)
+	nx, ny, nz := k.nx, k.ny, k.nz
+	var c000, c100, c010, c110, c001, c101, c011, c111 float64
+	if uint(x0) < uint(nx-1) && uint(y0) < uint(ny-1) && uint(z0) < uint(nz-1) {
+		data, nxy := k.data, nx*ny
+		base := (z0*ny+y0)*nx + x0
+		c000 = float64(data[base])
+		c100 = float64(data[base+1])
+		c010 = float64(data[base+nx])
+		c110 = float64(data[base+nx+1])
+		c001 = float64(data[base+nxy])
+		c101 = float64(data[base+nxy+1])
+		c011 = float64(data[base+nxy+nx])
+		c111 = float64(data[base+nxy+nx+1])
+	} else {
+		c000, c100, c010, c110, c001, c101, c011, c111 = k.cornersAt(x0, y0, z0)
+	}
+	return trilerp(c000, c100, c010, c110, c001, c101, c011, c111, fx, fy, fz)
+}
+
+// cornersAt loads the eight voxels around (x0, y0, z0) through
+// Volume.At, which zero-extends outside the volume — the boundary case
+// of the trilinear sample.
+func (k *kernel) cornersAt(x0, y0, z0 int) (c000, c100, c010, c110, c001, c101, c011, c111 float64) {
+	v := k.vol
+	return float64(v.At(x0, y0, z0)), float64(v.At(x0+1, y0, z0)),
+		float64(v.At(x0, y0+1, z0)), float64(v.At(x0+1, y0+1, z0)),
+		float64(v.At(x0, y0, z0+1)), float64(v.At(x0+1, y0, z0+1)),
+		float64(v.At(x0, y0+1, z0+1)), float64(v.At(x0+1, y0+1, z0+1))
+}
+
+// trilerp is volume.Volume.Sample's lerp chain and normalization,
+// operation for operation.
+func trilerp(c000, c100, c010, c110, c001, c101, c011, c111, fx, fy, fz float64) float64 {
 	c00 := c000 + fx*(c100-c000)
 	c10 := c010 + fx*(c110-c010)
 	c01 := c001 + fx*(c101-c001)
@@ -464,4 +558,15 @@ func (k *kernel) shadeLocal(lx, ly, lz float64) float64 {
 		d = 0
 	}
 	return k.ambient + (1-k.ambient)*d
+}
+
+// unitTables reports whether every opacity and intensity entry of tf
+// lies in [0, 1] (NaN does not).
+func unitTables(tf *transfer.Func) bool {
+	for j := 0; j < 256; j++ {
+		if !(tf.Opacity[j] >= 0 && tf.Opacity[j] <= 1 && tf.Intensity[j] >= 0 && tf.Intensity[j] <= 1) {
+			return false
+		}
+	}
+	return true
 }

@@ -234,48 +234,6 @@ func TestSmallerStepRefines(t *testing.T) {
 	}
 }
 
-func TestSplatRendersCompactObject(t *testing.T) {
-	v := volume.SolidCube(32, 32, 32)
-	cam := NewCamera(64, 64, v.Bounds(), 0, 0)
-	img := Splat(v, v.Bounds(), cam, transfer.Cube(), Options{})
-	if img.At(32, 32).A < 0.9 {
-		t.Errorf("splat center alpha = %v", img.At(32, 32).A)
-	}
-	if !img.At(2, 2).Blank() {
-		t.Error("splat corner must be blank")
-	}
-}
-
-func TestSplatRoughlyAgreesWithRaycast(t *testing.T) {
-	v := volume.SolidCube(32, 32, 32)
-	cam := NewCamera(64, 64, v.Bounds(), 0, 0)
-	rc := Raycast(v, v.Bounds(), cam, transfer.Cube(), Options{})
-	sp := Splat(v, v.Bounds(), cam, transfer.Cube(), Options{})
-	// Compare coverage. Splatting's bilinear footprint dilates the
-	// silhouette by up to one pixel on each side, so for a w x w square
-	// silhouette expect between w^2 and (w+2)^2 lit pixels.
-	a := rc.CountNonBlank(rc.Full())
-	b := sp.CountNonBlank(sp.Full())
-	w := math.Sqrt(float64(a))
-	if float64(b) < float64(a) || float64(b) > (w+2)*(w+2)+1 {
-		t.Errorf("splat lit %d pixels, raycast %d — outside dilation bound", b, a)
-	}
-}
-
-func TestSplatRotatedDominantAxis(t *testing.T) {
-	// Rotate so the dominant axis changes; the renderer must still
-	// produce a sane image (exercises all three sheet orientations).
-	v := volume.Sphere(24, 24, 24, 0.8, 255)
-	tf := transfer.Cube()
-	for _, rot := range [][2]float64{{0, 0}, {0, 90}, {90, 0}, {45, 45}, {0, 180}} {
-		cam := NewCamera(48, 48, v.Bounds(), rot[0], rot[1])
-		img := Splat(v, v.Bounds(), cam, tf, Options{})
-		if img.CountNonBlank(img.Full()) == 0 {
-			t.Errorf("rot %v: splat image empty", rot)
-		}
-	}
-}
-
 func TestRaycastSubvolumeFootprintOnly(t *testing.T) {
 	// A rank's image must have bounds no larger than its box footprint.
 	v := volume.EngineBlock(48, 48, 20)

@@ -138,7 +138,8 @@ type Response struct {
 type FrameStats struct {
 	// QueueMS is the time from admission to dispatch into the rank pool.
 	QueueMS float64 `json:"queue_ms"`
-	// RenderMS is rank 0's ray-casting wall time.
+	// RenderMS is the slowest rank's rendering wall time: the render
+	// phase's share of the frame's critical path.
 	RenderMS float64 `json:"render_ms"`
 	// TotalMS is the server-side wall time from admission to reply.
 	TotalMS float64 `json:"total_ms"`
@@ -209,6 +210,23 @@ func WriteJSON(w io.Writer, v any) error {
 		return err
 	}
 	return WriteFrame(w, b)
+}
+
+// ReadRequest reads one request frame. A frame that arrives whole but
+// does not decode into a Request — malformed JSON, or a number outside
+// float64 range such as a rotation of 1e999 — comes back as a
+// CodeBadRequest reply for the caller to send; the stream stays in
+// step, so the connection can carry on. err reports framing and I/O
+// failures, after which the connection must close.
+func ReadRequest(r io.Reader) (req Request, bad *Response, err error) {
+	b, err := ReadFrame(r, MaxRequestFrame)
+	if err != nil {
+		return Request{}, nil, err
+	}
+	if err := json.Unmarshal(b, &req); err != nil {
+		return Request{}, &Response{Code: CodeBadRequest, Error: "malformed request: " + err.Error()}, nil
+	}
+	return req, nil, nil
 }
 
 // ReadJSON reads one frame of at most max bytes and unmarshals it into v.

@@ -157,7 +157,7 @@ type job struct {
 	rec *trace.Recorder
 
 	dispatched time.Time    // set by the scheduler
-	renderNS   atomic.Int64 // rank 0 render wall
+	renderNS   atomic.Int64 // render wall of the slowest rank
 	wireBytes  atomic.Int64 // composite bytes received, all ranks
 
 	once sync.Once
@@ -451,10 +451,20 @@ func (s *Server) renderLoop(me int, run *worldRun, in <-chan *job, out chan<- re
 	for j := range in {
 		start := time.Now()
 		img := j.plan.RenderRankObserved(me, j.rec.Rank(me), &s.renderStats)
-		if me == 0 {
-			j.renderNS.Store(int64(time.Since(start)))
-		}
+		// Keep the slowest rank's wall. Every rank stores before its
+		// first compositing message, and rank 0 replies only after
+		// data from every rank reached it, so the reply sees them all.
+		storeMax(&j.renderNS, int64(time.Since(start)))
 		out <- rendered{job: j, img: img}
+	}
+}
+
+// storeMax raises a to v unless it already holds at least v.
+func storeMax(a *atomic.Int64, v int64) {
+	for cur := a.Load(); v > cur; cur = a.Load() {
+		if a.CompareAndSwap(cur, v) {
+			return
+		}
 	}
 }
 
@@ -839,11 +849,16 @@ func (s *Server) handleConn(conn net.Conn) {
 		conn.Close()
 	}()
 	for {
-		var req Request
-		if err := ReadJSON(conn, MaxRequestFrame, &req); err != nil {
+		req, resp, err := ReadRequest(conn)
+		if err != nil {
 			return // EOF, deadline from Shutdown, or garbage framing
 		}
-		resp, img := s.submit(req)
+		var img *frame.Image
+		if resp != nil {
+			s.met.requestFailed(CodeBadRequest)
+		} else {
+			resp, img = s.submit(req)
+		}
 		if err := WriteJSON(conn, resp); err != nil {
 			return
 		}

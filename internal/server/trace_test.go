@@ -250,3 +250,43 @@ func TestSampledRequestReturnsTrace(t *testing.T) {
 		t.Errorf("unsampled Stats.TraceID = %q", f2.Stats.TraceID)
 	}
 }
+
+// TestRenderMSIsSlowestRank pins FrameStats.RenderMS to the critical
+// path: a sampled reply's RenderMS is at least every rank's render span
+// (each rank's wall brackets its span), not rank 0's alone. engine_low
+// at P=4 puts unequal work on the ranks, so some frames' slowest rank
+// is not rank 0.
+func TestRenderMSIsSlowestRank(t *testing.T) {
+	_, cl := startServer(t, server.Config{P: 4})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	for _, roty := range []float64{0, 60, 120, 200, 290} {
+		req := server.Request{Dataset: "engine_low", Width: 96, Height: 96, RotY: roty, Trace: trace.NewContext()}
+		f, err := cl.Render(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Trace == nil || len(f.Trace.Procs) != 1 {
+			t.Fatalf("roty %g: sampled request returned trace %+v", roty, f.Trace)
+		}
+		ranks := 0
+		for _, tr := range f.Trace.Procs[0].Tracks {
+			for _, s := range tr.Spans {
+				if s.Name != trace.SpanRender {
+					continue
+				}
+				ranks++
+				if f.Stats.RenderMS*1000 < s.DurUS {
+					t.Errorf("roty %g: RenderMS %.3f ms < %s render span %.3f ms",
+						roty, f.Stats.RenderMS, tr.Name, s.DurUS/1000)
+				}
+			}
+		}
+		if ranks != 4 {
+			t.Fatalf("roty %g: %d render spans, want 4", roty, ranks)
+		}
+		if f.Stats.RenderMS > f.Stats.TotalMS {
+			t.Errorf("roty %g: RenderMS %.3f ms exceeds TotalMS %.3f ms", roty, f.Stats.RenderMS, f.Stats.TotalMS)
+		}
+	}
+}
